@@ -120,7 +120,7 @@ class PathMonitor:
             far = bottleneck.other(device)
             util = bottleneck.utilization(far, now)
             backlog = bottleneck.queue_backlog_s(far, now)
-            drops = bottleneck.queue_drops[bottleneck._dir_index(far)]
+            drops = bottleneck.drops_toward(far, now)
         capacity = bottleneck.bandwidth_bps
         available = max(capacity * (1.0 - util),
                         capacity * self.floor_fraction)

@@ -51,6 +51,9 @@ class PortTable:
         self.sim = sim
         self._activity: dict[int, PortActivity] = {}
         self._listeners: dict[int, Callable] = {}
+        #: the fluid background load sourced or sunk here (settled
+        #: before activity is read), else None
+        self._fluid = None
 
     # -- listeners ----------------------------------------------------------
 
@@ -71,6 +74,11 @@ class PortTable:
     # -- accounting ---------------------------------------------------------
 
     def activity(self, port: int) -> PortActivity:
+        if self._fluid is not None:
+            self._fluid.settle()
+        return self._entry(port)
+
+    def _entry(self, port: int) -> PortActivity:
         act = self._activity.get(port)
         if act is None:
             act = PortActivity(port=port)
@@ -79,7 +87,7 @@ class PortTable:
 
     def record(self, port: int, *, bytes_in: int = 0, bytes_out: int = 0,
                packets_in: int = 0, packets_out: int = 0) -> None:
-        act = self.activity(port)
+        act = self._entry(port)
         act.bytes_in += bytes_in
         act.bytes_out += bytes_out
         act.packets_in += packets_in
@@ -97,12 +105,16 @@ class PortTable:
 
     def idle_for(self, port: int) -> float:
         """Seconds since the last traffic on ``port`` (inf if never)."""
+        if self._fluid is not None:
+            self._fluid.settle()
         act = self._activity.get(port)
         if act is None or act.last_activity == float("-inf"):
             return float("inf")
         return self.sim.now - act.last_activity
 
     def ports_with_traffic(self) -> list[int]:
+        if self._fluid is not None:
+            self._fluid.settle()
         return sorted(p for p, a in self._activity.items() if a.total_bytes > 0)
 
 
@@ -247,6 +259,8 @@ class Host:
             return
         self.up = False
         self.crashes += 1
+        if self.network.fluid is not None:
+            self.network.fluid.refresh()    # background to/from here stops
         for service in list(self.services.values()):
             hook = getattr(service, "on_host_down", None)
             if hook is not None:
@@ -258,6 +272,8 @@ class Host:
             return
         self.up = True
         self.restarts += 1
+        if self.network.fluid is not None:
+            self.network.fluid.refresh()
         for service in list(self.services.values()):
             hook = getattr(service, "on_host_up", None)
             if hook is not None:

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 __all__ = ["NetNode", "RouterNode", "SwitchNode", "Link", "Network",
-           "NoRouteError", "InterfaceCounters", "Path", "TRAFFIC_CLASSES"]
+           "NoRouteError", "InterfaceCounters", "Path", "TRAFFIC_CLASSES",
+           "FluidLane"]
 
 #: traffic classes every transport send is tagged with (rotorsim-style
 #: flow tagging): control-plane/monitoring messages, bulk data, and
@@ -68,8 +69,16 @@ class NetNode:
         self.links: list["Link"] = []
         #: per-link interface counters, keyed by the link object
         self.interfaces: dict["Link", InterfaceCounters] = {}
+        #: the fluid background load crossing one of this node's links
+        #: (settled before counters are read), else None
+        self._fluid = None
 
     def interface(self, link: "Link") -> InterfaceCounters:
+        if self._fluid is not None:
+            self._fluid.settle()
+        return self._interface(link)
+
+    def _interface(self, link: "Link") -> InterfaceCounters:
         ctr = self.interfaces.get(link)
         if ctr is None:
             ctr = InterfaceCounters()
@@ -78,6 +87,8 @@ class NetNode:
 
     def totals(self) -> InterfaceCounters:
         """Aggregate counters across all interfaces."""
+        if self._fluid is not None:
+            self._fluid.settle()
         total = InterfaceCounters()
         for ctr in self.interfaces.values():
             total.in_octets += ctr.in_octets
@@ -111,6 +122,11 @@ class Link:
     sees the backlog as queuing delay, and loses what overflows
     ``queue_bytes`` — the congestion signal the paper's monitoring path
     exists to observe (§6, §7).
+
+    Background load is not offered packet by packet: it arrives as a
+    fluid rate on a :class:`FluidLane` per direction, and every reader
+    of the queue state settles it first (see :mod:`repro.simgrid.traffic`).
+    A link no fluid source crosses never settles anything.
     """
 
     #: default queue depth, in seconds of line rate (a quarter-second of
@@ -162,7 +178,14 @@ class Link:
         self._win_bytes = [0, 0]
         self._win_rate_bps = [0.0, 0.0]
         #: carried bytes per traffic class (both directions combined)
-        self.class_bytes: dict[str, int] = {}
+        self._class_bytes: dict[str, int] = {}
+        #: fluid background overflow per direction (bytes, and whole
+        #: background datagrams' worth); ``queue_drops`` counts offers only
+        self.fluid_dropped_bytes = [0.0, 0.0]
+        self.fluid_drops = [0, 0]
+        #: the fluid background load while a source crosses this link
+        self._fluid = None
+        self._lanes: list[Optional["FluidLane"]] = [None, None]
         a.links.append(self)
         b.links.append(self)
 
@@ -218,11 +241,28 @@ class Link:
 
     # -- shared FIFO queue ---------------------------------------------------
 
+    @property
+    def class_bytes(self) -> dict:
+        """Carried bytes per traffic class (both directions combined)."""
+        if self._fluid is not None:
+            self._fluid.settle()
+        return self._class_bytes
+
     def queue_backlog_s(self, toward: NetNode, now: float) -> float:
         """Seconds of traffic queued ahead of a new arrival heading
         ``toward`` the given endpoint at time ``now``."""
+        if self._fluid is not None:
+            self._fluid.settle(now)
         busy = self._q_busy_until[self._dir_index(toward)]
         return busy - now if busy > now else 0.0
+
+    def drops_toward(self, toward: NetNode, now: float) -> int:
+        """Overflow events toward ``toward``: dropped offers plus fluid
+        background overflow in whole datagrams (SNMP ``ifOutQDrops``)."""
+        if self._fluid is not None:
+            self._fluid.settle(now)
+        d = self._dir_index(toward)
+        return self.queue_drops[d] + self.fluid_drops[d]
 
     def queue_offer(self, src: NetNode, nbytes: int, now: float,
                     traffic_class: Optional[str] = None,
@@ -238,6 +278,9 @@ class Link:
         accepted and the tail is the caller's loss to model.
         """
         d = self._dir_index(self.other(src))
+        fluid = self._fluid
+        if fluid is not None:
+            fluid.settle(now)
         rate = self.bandwidth_bps / 8.0    # bytes/s drain rate
         busy = self._q_busy_until[d]
         if busy <= now:
@@ -273,8 +316,10 @@ class Link:
             else:
                 self._win_bytes[d] += accepted
             if traffic_class is not None:
-                self.class_bytes[traffic_class] = \
-                    self.class_bytes.get(traffic_class, 0) + accepted
+                self._class_bytes[traffic_class] = \
+                    self._class_bytes.get(traffic_class, 0) + accepted
+            if fluid is not None:
+                fluid.dirty = True      # the backlog left its regime
         return accepted, delay
 
     def queue_put(self, src: NetNode, nbytes: int, now: float,
@@ -290,6 +335,8 @@ class Link:
         """Fraction of line rate carried toward ``toward`` over the
         current sliding window (what an SNMP poller would compute from
         octet deltas)."""
+        if self._fluid is not None:
+            self._fluid.settle(now)
         d = self._dir_index(toward)
         elapsed = now - self._win_start[d]
         if elapsed >= self.UTIL_WINDOW_S:
@@ -305,24 +352,58 @@ class Link:
 
     def queue_stats(self) -> dict:
         """Snapshot of the queue observables (both directions)."""
+        class_bytes = dict(self.class_bytes)     # settles first
         return {
             "queue_bytes": self.queue_bytes,
             "drops": tuple(self.queue_drops),
             "dropped_bytes": tuple(self.queue_dropped_bytes),
+            "fluid_drops": tuple(self.fluid_drops),
+            "fluid_dropped_bytes": tuple(self.fluid_dropped_bytes),
             "peak_backlog_s": tuple(self.queue_peak_s),
             "delay_total_s": tuple(self.queue_delay_total_s),
-            "class_bytes": dict(self.class_bytes),
+            "class_bytes": class_bytes,
         }
+
+    # -- fluid background load -----------------------------------------------
+
+    def fluid_lane(self, toward: NetNode) -> "FluidLane":
+        """The (lazily created) fluid lane heading ``toward``."""
+        d = self._dir_index(toward)
+        lane = self._lanes[d]
+        if lane is None:
+            lane = self._lanes[d] = FluidLane(self, d)
+        return lane
+
+    def _fluid_carry(self, d: int, t0: float, t1: float,
+                     rate: float) -> None:
+        """Credit ``rate`` bytes/s carried over ``[t0, t1]`` to the
+        utilization window, rolling it where a continuous offerer would:
+        at each window end, or at ``t0`` if it expired before."""
+        t = t0
+        while True:
+            start = self._win_start[d]
+            end = start + self.UTIL_WINDOW_S
+            if end > t1:
+                break
+            if end < t:
+                elapsed = t - start
+            else:
+                self._win_bytes[d] += rate * (end - t)
+                elapsed, t = self.UTIL_WINDOW_S, end
+            self._win_rate_bps[d] = self._win_bytes[d] * 8.0 / elapsed
+            self._win_start[d] = t
+            self._win_bytes[d] = 0
+        self._win_bytes[d] += rate * (t1 - t)
 
     def record_transit(self, src: NetNode, nbytes: int, npackets: int = 1,
                        *, errors: int = 0, crc: int = 0) -> None:
         """Update interface counters for ``npackets``/``nbytes`` crossing
         from ``src`` toward the other endpoint."""
         dst = self.other(src)
-        out = src.interface(self)
+        out = src._interface(self)
         out.out_octets += nbytes
         out.out_packets += npackets
-        inn = dst.interface(self)
+        inn = dst._interface(self)
         inn.in_octets += nbytes
         inn.in_packets += npackets
         inn.in_errors += errors
@@ -331,6 +412,172 @@ class Link:
     def __repr__(self) -> str:  # pragma: no cover
         state = "up" if self.up else "DOWN"
         return f"<Link {self.name} {self.bandwidth_bps/1e6:.0f}Mbps {state}>"
+
+
+class Tally:
+    """A float running total paid out into an integer counter: ``take``
+    adds to the total and returns the whole units still owed."""
+
+    __slots__ = ("total", "paid")
+
+    def __init__(self) -> None:
+        self.total = 0.0
+        self.paid = 0
+
+    def take(self, amount: float) -> int:
+        self.total += amount
+        due = int(self.total) - self.paid
+        self.paid += due
+        return due
+
+
+#: a lane's regime over one settle step: open (accepts everything it
+#: is offered), full (at its cap, accepts what drains) or over (pushed
+#: past the cap by datagrams, accepts nothing until back at the cap)
+_OPEN, _FULL, _OVER = 0, 1, 2
+
+
+class FluidLane:
+    """Fluid background load on one direction of a :class:`Link`.
+
+    :mod:`repro.simgrid.traffic` sets the offered rate ``inp`` and the
+    admitted share each settle step; the lane integrates backlog,
+    carried and overflowing bytes, the utilization window and the
+    interface counters in closed form over the step.  The backlog is
+    the link's own busy-until clock, so datagrams and TCP windows
+    offered between two steps queue behind it as behind packets.
+
+    Drop-tail granularity: background fills the queue only to ``cap``
+    = ``queue_bytes`` minus its packet size, so a smaller datagram still
+    fits a queue the background keeps full.
+    """
+
+    __slots__ = ("link", "d", "out", "inn", "drain", "cap", "tol", "state",
+                 "frac", "inp", "acc", "acc_pkts", "acc_dgrams", "ovf",
+                 "ovf_pkts", "ovf_dgrams", "acc_class", "slope", "until",
+                 "target",
+                 "_octets", "_pkts", "_drops", "_discards", "_class")
+
+    def __init__(self, link: Link, d: int):
+        self.link = link
+        self.d = d
+        src, dst = (link.a, link.b) if d == 0 else (link.b, link.a)
+        self.out = src._interface(link)
+        self.inn = dst._interface(link)
+        self.drain = link.bandwidth_bps / 8.0
+        self.cap = link.queue_bytes
+        self.tol = 1e-6 * link.queue_bytes
+        self.state = _OPEN
+        self.frac = 1.0
+        self.slope = self.target = 0.0
+        self.until = float("inf")
+        self.inp = 0.0
+        self._reset_rates()
+        self._octets, self._pkts = Tally(), Tally()
+        self._drops, self._discards = Tally(), Tally()
+        self._class: dict[str, Tally] = {}
+
+    def _reset_rates(self) -> None:
+        self.acc = self.acc_pkts = self.acc_dgrams = 0.0
+        self.ovf = self.ovf_pkts = self.ovf_dgrams = 0.0
+        self.acc_class: dict[str, float] = {}
+
+    def backlog(self, t: float) -> float:
+        """Queued bytes at ``t``."""
+        busy = self.link._q_busy_until[self.d]
+        return (busy - t) * self.drain if busy > t else 0.0
+
+    def begin(self, t: float) -> None:
+        """Classify the regime at ``t``; clear the step's rates."""
+        b = self.backlog(t)
+        if b > self.cap + self.tol:
+            self.state, self.frac = _OVER, 0.0
+        else:
+            self.state = _FULL if b >= self.cap - self.tol else _OPEN
+            self.frac = 1.0
+        self._reset_rates()
+
+    def admit(self) -> bool:
+        """Set a full lane's admitted share from its offered rate;
+        True when the share changed."""
+        if self.state != _FULL:
+            return False
+        frac = self.drain / self.inp if self.inp > self.drain else 1.0
+        changed = frac != self.frac
+        self.frac = frac
+        return changed
+
+    def carry(self, offered: float, admitted: float, cls: str,
+              pkts_per_byte: float, dgrams_per_byte: float) -> None:
+        """Add one source's offered and admitted bytes/s to the step."""
+        if admitted > 0.0:
+            self.acc += admitted
+            self.acc_pkts += admitted * pkts_per_byte
+            self.acc_dgrams += admitted * dgrams_per_byte
+            self.acc_class[cls] = self.acc_class.get(cls, 0.0) + admitted
+        lost = offered - admitted
+        if lost > 0.0:
+            self.ovf += lost
+            self.ovf_pkts += lost * pkts_per_byte
+            self.ovf_dgrams += lost * dgrams_per_byte
+
+    def horizon(self, t: float) -> float:
+        """The instant after ``t`` at which the regime changes at these
+        rates (inf if never); the backlog then is ``target``."""
+        self.slope = 0.0
+        self.until = float("inf")
+        if self.inp == 0.0:
+            return self.until       # no fluid: the busy clock drains itself
+        b = self.backlog(t)
+        if self.state == _OVER:
+            self.slope, self.target = -self.drain, self.cap
+        elif self.state == _FULL and self.acc >= self.drain:
+            return self.until       # admits what drains: stays full
+        elif self.acc > self.drain:
+            self.slope, self.target = self.acc - self.drain, self.cap
+        elif self.acc < self.drain and b > 0.0:
+            self.slope, self.target = self.acc - self.drain, 0.0
+        else:
+            return self.until
+        self.until = t + (self.target - b) / self.slope
+        return self.until
+
+    def advance(self, t0: float, t1: float) -> None:
+        """Integrate the step ``[t0, t1]``: linear inside it, and
+        exactly at ``target`` once ``until`` is reached."""
+        if self.inp == 0.0:
+            return
+        link, d, drain = self.link, self.d, self.drain
+        dt = t1 - t0
+        b0 = self.backlog(t0)
+        if t1 >= self.until:
+            b1 = self.target
+        else:
+            b1 = max(b0 + self.slope * dt, 0.0)
+        link._q_busy_until[d] = t1 + b1 / drain
+        peak = (b0 if b0 > b1 else b1) / drain
+        if peak > link.queue_peak_s[d]:
+            link.queue_peak_s[d] = peak
+        if self.acc > 0.0:
+            link._fluid_carry(d, t0, t1, self.acc)
+            link.queue_delay_total_s[d] += \
+                self.acc_dgrams * dt * (b0 + b1) / (2.0 * drain)
+            n = self._octets.take(self.acc * dt)
+            self.out.out_octets += n
+            self.inn.in_octets += n
+            n = self._pkts.take(self.acc_pkts * dt)
+            self.out.out_packets += n
+            self.inn.in_packets += n
+            totals = link._class_bytes
+            for cls, rate in self.acc_class.items():
+                tally = self._class.get(cls)
+                if tally is None:
+                    tally = self._class[cls] = Tally()
+                totals[cls] = totals.get(cls, 0) + tally.take(rate * dt)
+        if self.ovf > 0.0:
+            link.fluid_dropped_bytes[d] += self.ovf * dt
+            link.fluid_drops[d] += self._drops.take(self.ovf_dgrams * dt)
+            self.inn.discards += self._discards.take(self.ovf_pkts * dt)
 
 
 @dataclass(frozen=True)
@@ -385,6 +632,9 @@ class Network:
         self._links: list[Link] = []
         self._route_cache: dict[tuple[str, str], Path] = {}
         self._epoch = 0  # bumped on any topology/link-state change
+        #: the fluid background load (:class:`repro.simgrid.traffic.
+        #: BackgroundLoad`) once a source has started, else None
+        self.fluid = None
 
     # -- construction -------------------------------------------------------
 
@@ -454,6 +704,8 @@ class Network:
     def _invalidate(self) -> None:
         self._route_cache.clear()
         self._epoch += 1
+        if self.fluid is not None:
+            self.fluid.refresh()    # background sources follow the reroute
 
     # -- routing ------------------------------------------------------------
 

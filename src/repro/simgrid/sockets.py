@@ -94,8 +94,9 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         self._flaky_hosts: dict[str, dict] = {}
         self.messages_flaky_failed = 0
         self.flaky_delay_s = 0.0
-        #: bytes offered to the network per traffic class
-        self.class_bytes: dict[str, int] = {}
+        #: bytes offered to the network per traffic class (see the
+        #: ``class_bytes`` property: fluid background is settled in)
+        self._class_bytes: dict[str, int] = {}
         #: loss draws are per flow, each stream seeded from this salt:
         #: whether a given flow's Nth message dies depends only on that
         #: flow's own history, never on how unrelated flows' sends
@@ -133,6 +134,18 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         self._prune_at = 256
         #: delivery wakeups scheduled (vs messages_sent: batching ratio)
         self.delivery_wakeups = 0
+
+    @property
+    def class_bytes(self) -> dict:
+        """Bytes offered to the network per traffic class, background
+        sources' fluid bytes included."""
+        if self.network.fluid is not None:
+            self.network.fluid.settle()
+        return self._class_bytes
+
+    def ephemeral_port(self) -> int:
+        """A fresh source port from this transport's ephemeral range."""
+        return next(self._ephemeral)
 
     # -- transient-RPC faults (flaky_rpc) -----------------------------------
 
@@ -205,8 +218,8 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         self.bytes_sent += size
         self.per_host_sent[src.name] = self.per_host_sent.get(src.name, 0) + 1
         self.per_host_bytes[src.name] = self.per_host_bytes.get(src.name, 0) + size
-        self.class_bytes[traffic_class] = \
-            self.class_bytes.get(traffic_class, 0) + size
+        self._class_bytes[traffic_class] = \
+            self._class_bytes.get(traffic_class, 0) + size
         src.ports.record(src_port, bytes_out=size, packets_out=npackets)
         loss = path.loss_rate if src is not dst else 0.0
         if loss > 0.0:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.simgrid import FaultPlan, GridWorld
 from repro.simgrid.faults import FaultError
+from packet_traffic import PacketTrafficGenerator
 from repro.simgrid.traffic import (TRAFFIC_KINDS, TRAFFIC_PORT,
                                    TrafficGenerator, TrafficSpec)
 
@@ -97,9 +98,51 @@ class TestTrafficGenerator:
         world, a, b = two_sites()
         gen = world.start_traffic(TrafficSpec(src=a.name, dst=b.name,
                                               rate_bps=10e6))
-        world.sim.call_at(0.5, lambda: b.crash())
+        per_s = 10e6 / 8 / gen.spec.packet_bytes     # datagrams a second
+        world.sim.call_at(0.5, b.crash)
+        world.sim.call_at(1.0, b.restart)
+        world.run(until=0.5)
+        sent = gen.packets_sent
+        assert sent == pytest.approx(0.5 * per_s, abs=2)
+        assert gen.send_failures == 0
+        world.run(until=1.0)
+        # failures accrue while the sink is down; nothing is sent
+        assert gen.send_failures == pytest.approx(0.5 * per_s, abs=2)
+        assert gen.packets_sent == sent
+        sink = b.ports.activity(TRAFFIC_PORT).bytes_in
+        failures = gen.send_failures
         world.run(until=1.5)
-        assert gen.send_failures > 0 or gen.packets_sent > 0
+        # ... and bytes resume after the restart
+        assert gen.send_failures == failures
+        assert gen.packets_sent - sent == pytest.approx(0.5 * per_s, abs=2)
+        assert b.ports.activity(TRAFFIC_PORT).bytes_in - sink == \
+            pytest.approx(0.5 * 10e6 / 8, rel=0.01)
+        world.stop_traffic()
+
+    def test_rate_follows_a_reroute(self):
+        world, a, b = two_sites()
+        primary = world.network.route(a.node, b.node).links[1]   # swA--r1
+        backup = world.wan_path("swA", "swB", routers=["r2", "r3"],
+                                latency_s=5e-3)
+        world.start_traffic(TrafficSpec(src=a.name, dst=b.name,
+                                        rate_bps=300e6))
+        world.sim.call_at(
+            1.0, world.network.set_link_state, primary, False)
+        world.sim.call_at(
+            2.0, world.network.set_link_state, primary, True)
+        second = 300e6 / 8
+
+        def carried():
+            return (primary.class_bytes.get("background", 0),
+                    backup[0].class_bytes.get("background", 0))
+        world.run(until=1.0)
+        assert carried() == pytest.approx((second, 0), abs=2)
+        world.run(until=2.0)      # the link is down: the backup carries it
+        assert carried() == pytest.approx((second, second), abs=2)
+        assert backup[0].utilization(world.network.get("r2"), 2.0) == \
+            pytest.approx(300e6 / 622e6, rel=0.01)
+        world.run(until=3.0)      # restored: back on the shorter path
+        assert carried() == pytest.approx((2 * second, second), abs=2)
         world.stop_traffic()
 
 
@@ -130,6 +173,47 @@ class TestCongestionStormFault:
         sent = gen.packets_sent
         world.run(until=5.0)
         assert gen.packets_sent == sent      # really stopped
+
+    def test_calming_one_storm_keeps_the_other_sinking(self):
+        """Two storms into one sink; calming one must not cut off the
+        other (no "no listener" drops, its bytes still reach port 9)."""
+        world, a, b = two_sites()
+        c = world.add_host("c.siteA")
+        world.network.link(c.node, "swA", bandwidth_bps=1000e6,
+                           latency_s=1e-4)
+        plan = (FaultPlan(seed=1)
+                .congestion_storm(1.0, a.name, b.name, rate_bps=100e6)
+                .congestion_storm(1.0, c.name, b.name, rate_bps=100e6)
+                .calm_traffic(2.0, a.name, b.name))
+        world.inject(plan)
+        world.run(until=2.0)
+        dropped = world.transport.messages_dropped
+        sink = b.ports.activity(TRAFFIC_PORT).bytes_in
+        world.run(until=3.0)
+        assert world.transport.messages_dropped == dropped
+        assert b.ports.activity(TRAFFIC_PORT).bytes_in - sink == \
+            pytest.approx(100e6 / 8, rel=0.01)
+
+    def test_packet_oracle_sink_is_reference_counted(self):
+        world, a, b = two_sites()
+        c = world.add_host("c.siteA")
+        world.network.link(c.node, "swA", bandwidth_bps=1000e6,
+                           latency_s=1e-4)
+        gens = [PacketTrafficGenerator(world, TrafficSpec(
+            src=src.name, dst=b.name, rate_bps=100e6)).start()
+            for src in (a, c)]
+        world.run(until=1.0)
+        gens[0].stop()
+        # let datagrams already on the wire land, then measure
+        world.run(until=1.1)
+        dropped = world.transport.messages_dropped
+        sink = b.ports.activity(TRAFFIC_PORT).bytes_in
+        world.run(until=2.1)
+        assert world.transport.messages_dropped == dropped
+        assert b.ports.activity(TRAFFIC_PORT).bytes_in - sink == \
+            pytest.approx(100e6 / 8, rel=0.01)
+        gens[1].stop()
+        assert b.ports.listener(TRAFFIC_PORT) is None
 
     def test_heal_stops_residual_storms(self):
         world, a, b = two_sites()
@@ -168,8 +252,9 @@ class TestCongestionStormFault:
                                         seed=2))
         world.run(until=1.0)
         wan = min(world.network.links(), key=lambda l: l.bandwidth_bps)
-        drops = sum(wan.queue_drops)
-        delay = sum(wan.queue_delay_total_s)
+        stats = wan.queue_stats()       # settles the fluid background
+        drops = sum(stats["drops"]) + sum(stats["fluid_drops"])
+        delay = sum(stats["delay_total_s"])
         assert drops > 0 or delay > 0.0
         assert world.transport.class_bytes.get("background", 0) > 0
         world.stop_traffic()
