@@ -217,20 +217,36 @@ class Consumer:
 
     def _handle_delivery(self, msg, _transport) -> None:
         payload = msg.payload
-        fmt = payload.get("fmt", "ulm")
-        wire = payload.get("wire")
-        try:
-            if fmt == "ulm":
-                event = parse_ulm(wire)
-            elif fmt == "xml":
-                event = from_xml(wire)
-            elif fmt == "binary":
-                event = ulm_decode(wire)
-            else:
-                raise ValueError(f"unknown format {fmt!r}")
-        except Exception:
+        if not isinstance(payload, dict):
             self.decode_errors += 1
             return
+        # the gateway renders each event once per format and sends every
+        # delivery of that rendering with one shared DecodeCell: only
+        # the first receiver decodes, later ones copy its message
+        cell = payload.get("decoded")
+        shared = cell.event if cell is not None else None
+        if shared is None:
+            fmt = payload.get("fmt", "ulm")
+            wire = payload.get("wire")
+            try:
+                if fmt == "ulm":
+                    shared = parse_ulm(wire)
+                elif fmt == "xml":
+                    shared = from_xml(wire)
+                elif fmt == "binary":
+                    shared = ulm_decode(wire)
+                else:
+                    raise ValueError(f"unknown format {fmt!r}")
+            except Exception:
+                self.decode_errors += 1
+                return
+            if cell is not None:
+                cell.event = shared
+        # every consumer gets its own message with its own fields, so a
+        # callback that edits its event cannot reach another consumer's
+        event = ULMMessage._from_wire(shared.date, shared.host, shared.prog,
+                                      shared.lvl, dict(shared.fields),
+                                      shared._date_str)
         handle = self._wire_handles.get((payload.get("gw"),
                                          payload.get("sub")))
         if handle is not None:

@@ -48,7 +48,8 @@ from .subscriptions import (Delivery, SpecError, SubscriptionHandle,
                             SubscriptionMode, SubscriptionSpec)
 from .summaries import SummaryService
 
-__all__ = ["EventGateway", "Subscription", "GatewayError", "GATEWAY_PORT"]
+__all__ = ["EventGateway", "Subscription", "GatewayError", "GATEWAY_PORT",
+           "DecodeCell"]
 
 GATEWAY_PORT = 14840
 #: port on which gateways accept forwarded events from remote sensor hosts
@@ -67,6 +68,21 @@ def _render(msg: ULMMessage, fmt: str):
     if fmt == "binary":
         return encode(msg)
     raise GatewayError(f"unknown event format {fmt!r}")
+
+
+class DecodeCell:
+    """The decode of one rendered wire, shared by its deliveries.
+
+    A remote delivery's payload carries its rendering's cell beside the
+    wire (``payload["decoded"]``).  The first consumer to receive the
+    wire decodes it and stores the message here; every later receiver
+    of the same rendering copies that message instead of parsing the
+    wire again.  The stored message is never handed to a callback."""
+
+    __slots__ = ("event",)
+
+    def __init__(self) -> None:
+        self.event: Optional[ULMMessage] = None
 
 
 @dataclass(slots=True)
@@ -109,8 +125,9 @@ class Subscription:
     fail_cb: Optional[Callable] = None
     ok_cb: Optional[Callable] = None
     # -- backpressure (remote delivery only) --------------------------------
-    #: bounded queue of rendered-but-unsent events; the fast path (no
-    #: throttle, empty queue) bypasses it entirely
+    #: bounded queue of rendered-but-unsent events as ``(wire,
+    #: DecodeCell)`` pairs; the fast path (no throttle, empty queue)
+    #: bypasses it entirely
     outbox: deque = field(default_factory=deque)
     outbox_limit: int = 256
     overflow_policy: str = "drop_oldest"
@@ -321,8 +338,9 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         # one render per distinct requested format, shared by every
         # delivery of this event (§2.3: the producer's cost must not
         # grow with the consumer count — neither should the gateway's
-        # rendering cost)
-        rendered: dict[str, Any] = {}
+        # rendering cost, nor the consumers' decoding cost: each
+        # rendering travels with one DecodeCell)
+        rendered: dict[str, tuple] = {}
         for sub in generic:
             if not sub.event_filter.accept(msg):
                 sub.filtered += 1
@@ -348,31 +366,35 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
             self.sim.call_in(0.0, sub.callback, msg)
         elif sub.remote is not None and self.transport is not None \
                 and self.host is not None:
-            wire = rendered.get(sub.fmt)
-            if wire is None:
-                wire = rendered[sub.fmt] = _render(msg, sub.fmt)
+            rendering = rendered.get(sub.fmt)
+            if rendering is None:
+                rendering = rendered[sub.fmt] = (_render(msg, sub.fmt),
+                                                 DecodeCell())
             if sub.drain_rate is None and not sub.outbox \
                     and not sub.blocked and not sub.degraded:
                 # fast path: unthrottled and nothing queued ahead
                 sub.delivered += 1
                 self.events_delivered += 1
-                self._send_wire(sub, wire)
+                self._send_wire(sub, rendering)
             else:
-                self._enqueue(sub, msg, wire)
+                self._enqueue(sub, msg, rendering)
 
-    def _send_wire(self, sub: Subscription, wire: Any) -> None:
+    def _send_wire(self, sub: Subscription, rendering: tuple) -> None:
+        """Send one ``(wire, DecodeCell)`` rendering to ``sub``."""
+        wire, cell = rendering
         dst_host, dst_port = sub.remote
         size = len(wire) if isinstance(wire, (str, bytes)) else 256
         self.transport.send(self.host, dst_host, dst_port,
                             {"sub": sub.sub_id, "gw": self.name,
-                             "fmt": sub.fmt, "wire": wire},
+                             "fmt": sub.fmt, "wire": wire, "decoded": cell},
                             size_bytes=size,
                             on_fail=sub.fail_cb,
                             on_delivered=sub.ok_cb)
 
     # -- backpressure: bounded outboxes + drain pump -----------------------------
 
-    def _enqueue(self, sub: Subscription, msg: ULMMessage, wire: Any) -> None:
+    def _enqueue(self, sub: Subscription, msg: ULMMessage,
+                 rendering: tuple) -> None:
         """Queue one rendered event for a throttled/backed-up consumer,
         applying the subscription's overflow policy at the cap."""
         if sub.degraded:
@@ -396,7 +418,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
             policy = sub.overflow_policy
             if policy == "drop_oldest":
                 sub.outbox.popleft()
-                sub.outbox.append(wire)
+                sub.outbox.append(rendering)
                 sub.dropped_oldest += 1
                 self.shed_by_policy["drop_oldest"] += 1
             elif policy == "drop_newest":
@@ -414,7 +436,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
                 sub.shed_degraded += 1
                 self.shed_by_policy["degrade"] += 1
         else:
-            sub.outbox.append(wire)
+            sub.outbox.append(rendering)
             depth = len(sub.outbox)
             if depth > sub.outbox_peak:
                 sub.outbox_peak = depth
@@ -438,10 +460,10 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
         if sub.sub_id not in self._subs or sub.paused or not self.up:
             return
         if sub.outbox:
-            wire = sub.outbox.popleft()
+            rendering = sub.outbox.popleft()
             sub.delivered += 1
             self.events_delivered += 1
-            self._send_wire(sub, wire)
+            self._send_wire(sub, rendering)
         depth = len(sub.outbox)
         if depth * 2 <= sub.outbox_limit:
             sub.blocked = False
@@ -464,7 +486,7 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
             event="SUB_DEGRADED_SUMMARY",
             fields={"SHED": shed, "FROM": sub.degrade_from, "TO": now})
         sub.summaries_sent += 1
-        self._send_wire(sub, _render(summary, sub.fmt))
+        self._send_wire(sub, (_render(summary, sub.fmt), DecodeCell()))
 
     def throttle_consumer(self, host_name: str,
                           rate: Optional[float]) -> int:
@@ -720,7 +742,9 @@ class EventGateway:  # repro: noqa[SLOT001] — one per world, not per event
             event = parse_ulm(payload["wire"])
         except Exception:
             return
-        self.ingest(payload["sensor"], event)
+        sensor = payload.get("sensor")
+        if sensor is not None:
+            self.ingest(sensor, event)
 
     # -- networked request handling ------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 __all__ = ["NetNode", "RouterNode", "SwitchNode", "Link", "Network",
@@ -277,7 +278,12 @@ class Link:
         rejects the entire offer, otherwise the head that fits is
         accepted and the tail is the caller's loss to model.
         """
-        d = self._dir_index(self.other(src))
+        if src is self.a:
+            d = 0
+        elif src is self.b:
+            d = 1
+        else:
+            raise ValueError(f"{src!r} not an endpoint of {self!r}")
         fluid = self._fluid
         if fluid is not None:
             fluid.settle(now)
@@ -321,15 +327,6 @@ class Link:
             if fluid is not None:
                 fluid.dirty = True      # the backlog left its regime
         return accepted, delay
-
-    def queue_put(self, src: NetNode, nbytes: int, now: float,
-                  traffic_class: Optional[str] = None) -> float:
-        """Atomic enqueue for a whole datagram: returns the queuing
-        delay, or ``-1.0`` when the message overflowed (caller drops the
-        message whole — partial datagrams don't exist)."""
-        accepted, delay = self.queue_offer(src, nbytes, now, traffic_class,
-                                           atomic=True)
-        return delay if accepted else -1.0
 
     def utilization(self, toward: NetNode, now: float) -> float:
         """Fraction of line rate carried toward ``toward`` over the
@@ -595,9 +592,32 @@ class Path:
     def router_hops(self) -> int:
         return sum(1 for n in self.nodes[1:-1] if n.kind == "router")
 
+    @cached_property
+    def hop_plan(self) -> tuple:
+        """Per-hop ``(link, node, next_node, d, out, inn)`` for a sender:
+        hop *i* leaves ``node`` toward ``next_node`` in link direction
+        ``d`` (the index of ``_loss``/queue state), charging ``node``'s
+        ``out`` and ``next_node``'s ``inn`` interface counters.
+
+        Built on first use, not by routing: it creates the interface
+        counters, and a route looked up only to test reachability must
+        leave none behind.  It holds structure only — latency,
+        bandwidth and loss are read from the links on every use,
+        because faults change them in place."""
+        plan = []
+        for node, nxt, link in zip(self.nodes, self.nodes[1:], self.links):
+            plan.append((link, node, nxt, 0 if node is link.a else 1,
+                         node._interface(link), nxt._interface(link)))
+        return tuple(plan)
+
     @property
     def latency_s(self) -> float:
-        return sum(l.latency_s for l in self.links)
+        # plain left-to-right addition, exactly as MessageTransport.send
+        # sums it hop by hop (sum() compensates on newer Pythons)
+        total = 0.0
+        for link in self.links:
+            total += link.latency_s
+        return total
 
     @property
     def rtt_s(self) -> float:

@@ -221,8 +221,16 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
         self._class_bytes[traffic_class] = \
             self._class_bytes.get(traffic_class, 0) + size
         src.ports.record(src_port, bytes_out=size, packets_out=npackets)
-        loss = path.loss_rate if src is not dst else 0.0
-        if loss > 0.0:
+        # one plan entry per hop (structure only: latency, bandwidth
+        # and loss are read from the links below, as faults change them)
+        plan = path.hop_plan
+        keep = 1.0
+        for link, _node, _nxt, d, _out, _inn in plan:
+            rate = link._loss[d]
+            if rate:
+                keep *= 1.0 - rate
+        if keep < 1.0:
+            loss = 1.0 - keep
             flow = (src.name, dst.name, -1 if oneshot else dst_port)
             rng = self._loss_rngs.get(flow)
             if rng is None:
@@ -236,38 +244,50 @@ class MessageTransport:  # repro: noqa[SLOT001] — one per world, not per event
                 # fires — failure detectors counting consecutive
                 # on_fail events stay quiet (the asymmetric-partition
                 # gray case); only interface discard counters notice.
-                for node, link in zip(path.nodes[:-1], path.links):
-                    link.record_transit(node, size, npackets)
-                    receiver = link.other(node)
-                    if link.loss_toward(receiver) > 0.0:
-                        receiver.interface(link).discards += npackets
+                for link, _node, nxt, d, out, inn in plan:
+                    out.out_octets += size
+                    out.out_packets += npackets
+                    inn.in_octets += size
+                    inn.in_packets += npackets
+                    if link._loss[d] > 0.0:
+                        nxt.interface(link).discards += npackets
                         break
                 self.messages_lost += 1
                 return msg
-        # shared-link queues + delivered-traffic accounting.  Each hop's
-        # output queue is charged at send time (single-timestamp
-        # approximation); backlog ahead of this message becomes extra
-        # delivery delay, and a full queue eats the datagram whole.
+        # shared-link queues + delivered-traffic accounting, in one pass
+        # that also sums the path latency and finds its bottleneck.
+        # Each hop's output queue is charged at send time (single-
+        # timestamp approximation); backlog ahead of this message
+        # becomes extra delivery delay, and a full queue eats the
+        # datagram whole.
         qdelay = 0.0
-        if src is not dst:
-            now = self.sim.now
-            for node, link in zip(path.nodes[:-1], path.links):
-                d = link.queue_put(node, size, now, traffic_class)
-                if d < 0.0:
-                    # queue overflow: congestion drop at this hop.
-                    # Silent like link loss — the sender saw a
-                    # successful send, neither callback fires; only the
-                    # discard counters (which the monitoring path
-                    # polls) notice.
-                    link.other(node).interface(link).discards += npackets
-                    self.messages_lost_congestion += 1
-                    return msg
-                qdelay += d
-                link.record_transit(node, size, npackets)
-            self.queue_delay_s += qdelay
+        latency = 0.0
+        bottleneck = None
+        now = self.sim.now
+        for link, node, nxt, _d, out, inn in plan:
+            accepted, wait = link.queue_offer(node, size, now, traffic_class,
+                                              atomic=True)
+            if not accepted:
+                # queue overflow: congestion drop at this hop.  Silent
+                # like link loss — the sender saw a successful send,
+                # neither callback fires; only the discard counters
+                # (which the monitoring path polls) notice.
+                nxt.interface(link).discards += npackets
+                self.messages_lost_congestion += 1
+                return msg
+            qdelay += wait
+            out.out_octets += size
+            out.out_packets += npackets
+            inn.in_octets += size
+            inn.in_packets += npackets
+            latency += link.latency_s
+            bps = link.bandwidth_bps
+            if bottleneck is None or bps < bottleneck:
+                bottleneck = bps
+        self.queue_delay_s += qdelay
         dst.ports.record(dst_port, bytes_in=size, packets_in=npackets)
-        delay = (path.latency_s + (size * 8.0) / path.bottleneck_bps + qdelay) \
-            if path.links else 1e-6
+        delay = (latency + (size * 8.0) / bottleneck + qdelay) \
+            if plan else 1e-6
         if self._flaky_hosts:
             flaky = self._flaky_hosts.get(dst.name)
             if flaky is not None:

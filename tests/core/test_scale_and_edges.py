@@ -114,6 +114,35 @@ class TestEventPathEdgeCases:
         assert collector.decode_errors == 1
         assert collector.received > 0  # real events still flow
 
+    @pytest.mark.parametrize("payload", ["NOT A DICT", None, 42,
+                                         ["fmt", "ulm"]],
+                             ids=["str", "none", "int", "list"])
+    def test_consumer_counts_non_dict_payload_as_decode_error(self, payload):
+        world, sensor_host, gw_host, jamm, gw = self.setup_pair()
+        collector = jamm.collector(host=sensor_host)
+        collector.subscribe_all("(sensortype=cpu)")
+        port = collector._ensure_recv_port()
+        world.transport.send(gw_host, sensor_host, port, payload)
+        world.run(until=3.0)      # must not raise out of the kernel
+        assert collector.decode_errors == 1
+        assert collector.received > 0
+
+    def test_intake_without_sensor_name_is_dropped_not_fatal(self):
+        world, sensor_host, gw_host, jamm, gw = self.setup_pair()
+        from repro.ulm import serialize, ULMMessage
+        wire = serialize(ULMMessage(date=0.0, host="s", prog="x",
+                                    event="E"))
+        world.transport.send(sensor_host, gw_host, INTAKE_PORT,
+                             {"wire": wire})
+        world.run(until=1.0)      # must not raise out of the kernel
+        assert gw.events_in == 0
+
+    def test_intake_with_non_dict_payload_is_dropped(self):
+        world, sensor_host, gw_host, jamm, gw = self.setup_pair()
+        world.transport.send(sensor_host, gw_host, INTAKE_PORT, "wire")
+        world.run(until=1.0)
+        assert gw.events_in == 0
+
     def test_sensor_crash_does_not_kill_the_gateway(self):
         """Failure injection: a sensor whose sample() raises is recorded
         (non-strict sim) and other sensors keep flowing."""

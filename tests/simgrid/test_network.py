@@ -192,10 +192,16 @@ class TestLinkQueue:
     def test_atomic_overflow_drops_whole_datagram(self):
         _net, (a, b), link = queue_link()
         link.queue_offer(a, 1_000_000, 0.0)        # 1 s backlog >> 0.25 s cap
-        assert link.queue_put(a, 1_000, 0.0) == -1.0
+        assert link.queue_offer(a, 1_000, 0.0, atomic=True)[0] == 0
         toward = link._dir_index(b)
         assert link.queue_drops[toward] == 1
         assert link.queue_dropped_bytes[toward] == 1_000
+
+    def test_offer_from_a_stranger_is_rejected(self):
+        net, (a, _b), link = queue_link()
+        with pytest.raises(ValueError):
+            link.queue_offer(net.node("stranger"), 1_000, 0.0)
+        assert link._q_busy_until == [0.0, 0.0]
 
     def test_byte_granular_offer_accepts_what_fits(self):
         _net, (a, _b), link = queue_link()
@@ -229,7 +235,7 @@ class TestLinkQueue:
         _net, (a, _b), link = queue_link()
         link.queue_offer(a, 100_000, 0.0)
         link.queue_offer(a, 100_000, 0.0, "bulk")
-        link.queue_put(a, 1_000_000, 0.0)
+        link.queue_offer(a, 1_000_000, 0.0, atomic=True)
         stats = link.queue_stats()
         assert stats["queue_bytes"] == 250_000
         assert stats["drops"] == (1, 0)
