@@ -166,8 +166,8 @@ def run_netaware_scenario(seed: int = 0, *, storm_bps: float = 550e6,
         bottleneck.other(device), world.sim.now)
     result.transport_queue_delay_s = world.transport.queue_delay_s
     result.class_bytes = dict(world.transport.class_bytes)
-    storms = list(injector._storms.values())
-    result.storm_packets = sum(s.packets_sent for s in storms)
+    result.storm_packets = sum(s.packets_sent
+                               for s in injector.storms.values())
 
     world.run(until=T_END)
     result.recovered_available_bps = monitor.samples[-1][1]

@@ -33,24 +33,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 __all__ = ["FaultEvent", "FaultPlan", "FaultInjector", "FaultError",
-           "FAULT_KINDS", "SENSOR_DEGRADE_MODES"]
-
-#: every fault kind the injector knows how to apply
-FAULT_KINDS = ("host_crash", "host_restart", "process_kill",
-               "partition", "heal", "link_down", "link_up",
-               "link_loss", "link_latency", "clock_skew",
-               # gray failures: the component stays "up" but misbehaves
-               "sensor_degrade", "asymmetric_partition",
-               "slow_consumer", "disk_full",
-               # storage faults against segmented archives
-               "compaction_stall", "torn_segment", "slow_disk",
-               # background cross-traffic (shared-link congestion)
-               "congestion_storm", "calm_traffic",
-               # transient RPC faults at the transport boundary
-               "flaky_rpc", "steady_rpc")
+           "FaultKind", "KINDS", "FAULT_KINDS", "HEAL_ORDER",
+           "SENSOR_DEGRADE_MODES"]
 
 #: how a compaction stall manifests (see FaultPlan.stall_compaction)
 COMPACTION_STALL_MODES = ("wedge", "kill")
@@ -67,13 +54,31 @@ class FaultError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FaultEvent:
-    """One scheduled fault.
+class FaultKind:
+    """One fault kind: an entry of :data:`KINDS`, the table at the end
+    of this module.  ``target`` is what :attr:`FaultEvent.target` names
+    (``host``, ``host_or_all`` — empty = every one —, ``link``,
+    ``archive``, ``groups`` as ``a,b|c,d`` node names, ``pair`` as
+    ``src|dst`` hosts, ``pair_or_all`` or ``none``); ``apply(injector,
+    event)`` makes the fault (or its restore) happen; ``undo`` is the
+    undo-log group its lasting state goes to; ``draw(d, at)`` draws one
+    event plus its recovery in :meth:`FaultPlan.random`, when
+    ``gate(d)`` admits the kind to that draw; ``check(event)`` is an
+    extra arm-time check of the params."""
 
-    ``target`` names a host, a link, or (for ``partition``) the ``|``
-    separated two node-name groups; ``params`` carries kind-specific
-    knobs (loss rate, latency factor, clock offset/drift, ...).
-    """
+    target: str
+    apply: Callable[[Any, "FaultEvent"], None]
+    undo: str = ""
+    draw: Optional[Callable[[Any, float], None]] = None
+    gate: Callable[[Any], bool] = lambda d: True
+    check: Optional[Callable[["FaultEvent"], None]] = None
+
+
+@dataclass(frozen=True)
+class FaultEvent:
+    """One scheduled fault.  ``target`` names what its kind's
+    :attr:`FaultKind.target` says; ``params`` carries kind-specific
+    knobs (loss rate, latency factor, clock offset/drift, ...)."""
 
     at: float
     kind: str
@@ -81,7 +86,7 @@ class FaultEvent:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
+        if self.kind not in KINDS:
             raise FaultError(f"unknown fault kind {self.kind!r}")
         if self.at < 0:
             raise FaultError(f"fault scheduled before t=0: {self.at}")
@@ -107,9 +112,9 @@ class FaultPlan:
     Build one fluently::
 
         plan = (FaultPlan(seed=7)
-                .crash_host(10.0, "gw.lbl.gov")
-                .restart_host(25.0, "gw.lbl.gov")
-                .partition(40.0, ["siteA"], ["siteB"])
+                .crash_host(10.0, "gw.siteA")
+                .restart_host(25.0, "gw.siteA")
+                .partition(40.0, ["gw.siteA", "s0.siteA"], ["consumer.siteB"])
                 .heal(55.0))
 
     or generate a random-but-deterministic one with
@@ -342,177 +347,34 @@ class FaultPlan:
                flaky: Iterable[str] = ()) -> "FaultPlan":
         """A deterministic random schedule of ``n_steps`` events.
 
-        The draw depends only on ``seed`` and the *sorted* host/link
-        name lists, never from object identity.  ``protect`` names
-        hosts that are never crashed (e.g. the consumer host whose
-        records the invariants read).  Crashed hosts are always
-        restarted within the horizon and partitions always heal, so
-        every plan ends in a recoverable state; ``max_down_fraction``
-        caps how many hosts may be down at once so the world never
-        fully halts.
+        The draw depends only on ``seed`` and the *sorted* name lists.
+        ``protect`` names hosts never crashed (e.g. the consumer whose
+        records the invariants read); ``max_down_fraction`` caps how
+        many hosts are down at once.  Every drawn fault comes with its
+        recovery inside the horizon, and the plan ends restarting every
+        crashed host and healing, so it always ends recoverable.
 
-        Gray kinds ride along: ``sensor_degrade`` and
-        ``asymmetric_partition`` draw from ``hosts`` (always restored
-        before the final heal; stale mode is excluded — frozen
-        timestamps are indistinguishable from ancient events to replay
-        floors, so it stays a targeted-test-only mode); passing
-        ``consumers``/``archives`` additionally enables
-        ``slow_consumer``/``disk_full`` against those names.  Archives
-        also draw the storage kinds — ``compaction_stall`` (wedge
-        mode), ``torn_segment``, and ``slow_disk`` — each paired with
-        its restore within the horizon, so storage faults are
-        always-recovering like everything else.
-
-        Passing two or more ``storms`` host names enables
-        ``congestion_storm`` events between random distinct pairs of
-        those hosts, each paired with a targeted ``calm_traffic``
-        within the horizon (always-recovering congestion).
-
-        Passing ``flaky`` host names (RPC *server* hosts: directory
-        servers, gateways) enables ``flaky_rpc`` events against them,
-        each paired with a targeted ``steady_rpc`` within the horizon
-        (always-recovering transient errors).  Both knobs gate their
-        kind behind the parameter so plans drawn without them replay
-        bit-identically to plans from before the kind existed.
+        A drawable kind of :data:`KINDS` joins the draw when its gate
+        holds: ``consumers`` admits ``slow_consumer``; ``archives`` the
+        storage kinds (``compaction_stall`` in wedge mode only); two or
+        more ``storms`` hosts ``congestion_storm``; ``flaky`` RPC
+        server hosts ``flaky_rpc``.  A plan drawn with a gate shut
+        replays bit-identically to one from before that kind existed.
+        ``sensor_degrade`` never draws ``stale`` mode: frozen
+        timestamps look like ancient events to replay floors.
         """
-        rng = random.Random(seed)
-        host_names = sorted(set(hosts))
-        link_names = sorted(set(links))
-        consumer_names = sorted(set(consumers))
-        archive_names = sorted(set(archives))
-        storm_names = sorted(set(storms))
-        protected = set(protect)
-        crashable = [h for h in host_names if h not in protected]
-        plan = cls(seed=seed)
-        #: host -> [(crash_at, restart_at)] — a host may crash many
-        #: times per plan, just never with overlapping down intervals
-        down_spans: dict[str, list[tuple[float, float]]] = {}
-        partitioned_until = -1.0
-        max_down = max(1, int(len(crashable) * max_down_fraction)) \
-            if crashable else 0
-
-        def hosts_down_at(t: float) -> int:
-            return sum(1 for spans in down_spans.values()
-                       for lo, hi in spans if lo <= t < hi)
-
-        def recover_at(at: float) -> float:
-            return min(at + round(rng.uniform(2.0, horizon * 0.2), 3),
-                       horizon * 0.95)
-
-        kinds = ["host_crash", "process_kill", "partition",
-                 "link_loss", "link_latency", "clock_skew",
-                 "sensor_degrade", "asymmetric_partition"]
-        if consumer_names:
-            kinds.append("slow_consumer")
-        if archive_names:
-            kinds += ["disk_full", "compaction_stall", "torn_segment",
-                      "slow_disk"]
-        if len(storm_names) >= 2:
-            kinds.append("congestion_storm")
-        flaky_names = sorted(set(flaky))
-        if flaky_names:
-            kinds.append("flaky_rpc")
+        d = _Draw(cls(seed=seed), random.Random(seed), horizon, hosts, links,
+                  protect, max_down_fraction, consumers, archives, storms,
+                  flaky)
+        kinds = [k for k in KINDS.values() if k.draw and k.gate(d)]
         for _ in range(max(0, int(n_steps))):
-            at = round(rng.uniform(0.0, horizon * 0.8), 3)
-            kind = rng.choice(kinds)
-            if kind == "host_crash" and crashable:
-                host = rng.choice(crashable)
-                down = round(rng.uniform(1.0, horizon * 0.15), 3)
-                restart_at = min(at + down, horizon * 0.95)
-                spans = down_spans.setdefault(host, [])
-                if any(lo <= restart_at and at <= hi for lo, hi in spans):
-                    continue  # overlaps one of this host's down windows
-                if hosts_down_at(at) >= max_down:
-                    continue  # too many hosts down at once
-                plan.crash_host(at, host)
-                plan.restart_host(restart_at, host)
-                spans.append((at, restart_at))
-            elif kind == "process_kill":
-                plan.kill_process(at, rng.choice(host_names))
-            elif kind == "partition" and len(host_names) >= 2:
-                if at <= partitioned_until:
-                    continue
-                cut = rng.randint(1, len(host_names) - 1)
-                group_a = host_names[:cut]
-                group_b = host_names[cut:]
-                heal_at = min(at + round(rng.uniform(1.0, horizon * 0.2), 3),
-                              horizon * 0.95)
-                plan.partition(at, group_a, group_b)
-                plan.heal(heal_at)
-                partitioned_until = heal_at
-            elif kind == "link_loss" and link_names:
-                plan.link_loss(at, rng.choice(link_names),
-                               round(rng.uniform(0.0, 0.2), 4))
-            elif kind == "link_latency" and link_names:
-                plan.link_latency(at, rng.choice(link_names),
-                                  round(rng.uniform(0.5, 20.0), 3))
-            elif kind == "clock_skew":
-                plan.skew_clock(at, rng.choice(host_names),
-                                offset=round(rng.uniform(-0.5, 0.5), 6),
-                                drift=round(rng.uniform(-1e-4, 1e-4), 9))
-            elif kind == "sensor_degrade":
-                pool = crashable or host_names
-                host = rng.choice(pool)
-                plan.degrade_sensor(
-                    at, host,
-                    mode=rng.choice(["corrupt", "partial"]),
-                    rate=round(rng.uniform(0.5, 1.0), 3),
-                    seed=rng.randrange(2**31))
-                plan.restore_sensor(recover_at(at), host)
-            elif kind == "asymmetric_partition" and len(host_names) >= 2:
-                if at <= partitioned_until:
-                    continue
-                cut = rng.randint(1, len(host_names) - 1)
-                heal_at = recover_at(at)
-                plan.asymmetric_partition(at, host_names[:cut],
-                                          host_names[cut:])
-                plan.heal(heal_at)
-                partitioned_until = heal_at
-            elif kind == "slow_consumer":
-                host = rng.choice(consumer_names)
-                plan.slow_consumer(at, host,
-                                   rate=round(rng.uniform(1.0, 10.0), 3))
-                plan.restore_consumer(recover_at(at), host)
-            elif kind == "disk_full":
-                archive = rng.choice(archive_names)
-                plan.disk_full(at, archive,
-                               budget_bytes=rng.randrange(8_000, 64_000))
-                plan.restore_disk(recover_at(at), archive)
-            elif kind == "compaction_stall":
-                archive = rng.choice(archive_names)
-                plan.stall_compaction(at, archive, mode="wedge")
-                plan.restore_compaction(recover_at(at), archive)
-            elif kind == "torn_segment":
-                archive = rng.choice(archive_names)
-                plan.tear_segment(at, archive, index=rng.randrange(0, 8))
-                plan.mend_segments(recover_at(at), archive)
-            elif kind == "slow_disk":
-                archive = rng.choice(archive_names)
-                plan.slow_disk(at, archive,
-                               round(rng.uniform(2.0, 20.0), 3))
-                plan.restore_disk_speed(recover_at(at), archive)
-            elif kind == "congestion_storm":
-                src = rng.choice(storm_names)
-                dst = rng.choice([h for h in storm_names if h != src])
-                shape = rng.choice(list(TRAFFIC_STORM_KINDS))
-                plan.congestion_storm(
-                    at, src, dst,
-                    rate_bps=round(rng.uniform(100e6, 900e6), 0),
-                    kind=shape,
-                    seed=rng.randrange(2**31))
-                plan.calm_traffic(recover_at(at), src, dst)
-            elif kind == "flaky_rpc":
-                host = rng.choice(flaky_names)
-                plan.flaky_rpc(at, host,
-                               rate=round(rng.uniform(0.2, 0.8), 3),
-                               latency_s=round(rng.uniform(0.0, 0.5), 3),
-                               seed=rng.randrange(2**31))
-                plan.steady_rpc(recover_at(at), host)
+            at = round(d.rng.uniform(0.0, horizon * 0.8), 3)
+            d.rng.choice(kinds).draw(d, at)
         # every random plan converges: restart stragglers, heal, settle
-        for host in down_spans:
-            plan.restart_host(horizon * 0.96, host)
-        plan.heal(horizon * 0.96)
-        return plan
+        for host in d.down_spans:
+            d.plan.restart_host(horizon * 0.96, host)
+        d.plan.heal(horizon * 0.96)
+        return d.plan
 
     # -- serialization -------------------------------------------------------
 
@@ -552,35 +414,171 @@ class FaultPlan:
         return f"<FaultPlan seed={self.seed} events={len(self.events)}>"
 
 
+class _Draw:
+    """One :meth:`FaultPlan.random` call: its sorted inputs, RNG and
+    plan.  A drawable kind's table entry names its method here; one
+    that cannot draw returns without touching the RNG again."""
+
+    def __init__(self, plan: FaultPlan, rng: random.Random, horizon: float,
+                 hosts: Iterable[str], links: Iterable[str],
+                 protect: Iterable[str], max_down_fraction: float,
+                 consumers: Iterable[str], archives: Iterable[str],
+                 storms: Iterable[str], flaky: Iterable[str]):
+        self.plan = plan
+        self.rng = rng
+        self.horizon = horizon
+        self.hosts = sorted(set(hosts))
+        self.links = sorted(set(links))
+        self.consumers = sorted(set(consumers))
+        self.archives = sorted(set(archives))
+        self.storms = sorted(set(storms))
+        self.flaky = sorted(set(flaky))
+        protected = set(protect)
+        self.crashable = [h for h in self.hosts if h not in protected]
+        #: host -> [(crash_at, restart_at)] — a host may crash many
+        #: times per plan, just never with overlapping down intervals
+        self.down_spans: dict[str, list[tuple[float, float]]] = {}
+        self.partitioned_until = -1.0
+        self.max_down = max(1, int(len(self.crashable) * max_down_fraction)) \
+            if self.crashable else 0
+
+    def recover_at(self, at: float, soonest: float = 2.0) -> float:
+        return min(at + round(self.rng.uniform(soonest, self.horizon * 0.2),
+                              3), self.horizon * 0.95)
+
+    def _split(self, at: float, build: Callable, soonest: float) -> None:
+        """A (symmetric or asymmetric) partition between a random cut of
+        the sorted hosts, healed before any other one starts."""
+        if len(self.hosts) < 2 or at <= self.partitioned_until:
+            return
+        cut = self.rng.randint(1, len(self.hosts) - 1)
+        heal_at = self.recover_at(at, soonest)
+        build(at, self.hosts[:cut], self.hosts[cut:])
+        self.plan.heal(heal_at)
+        self.partitioned_until = heal_at
+
+    def host_crash(self, at: float) -> None:
+        if not self.crashable:
+            return
+        rng, plan = self.rng, self.plan
+        host = rng.choice(self.crashable)
+        down = round(rng.uniform(1.0, self.horizon * 0.15), 3)
+        restart_at = min(at + down, self.horizon * 0.95)
+        spans = self.down_spans.setdefault(host, [])
+        if any(lo <= restart_at and at <= hi for lo, hi in spans):
+            return  # overlaps one of this host's down windows
+        if sum(1 for other in self.down_spans.values()
+               for lo, hi in other if lo <= at < hi) >= self.max_down:
+            return  # too many hosts down at once
+        plan.crash_host(at, host)
+        plan.restart_host(restart_at, host)
+        spans.append((at, restart_at))
+
+    def process_kill(self, at: float) -> None:
+        self.plan.kill_process(at, self.rng.choice(self.hosts))
+
+    def partition(self, at: float) -> None:
+        self._split(at, self.plan.partition, 1.0)
+
+    def link_loss(self, at: float) -> None:
+        if self.links:
+            self.plan.link_loss(at, self.rng.choice(self.links),
+                                round(self.rng.uniform(0.0, 0.2), 4))
+
+    def link_latency(self, at: float) -> None:
+        if self.links:
+            self.plan.link_latency(at, self.rng.choice(self.links),
+                                   round(self.rng.uniform(0.5, 20.0), 3))
+
+    def clock_skew(self, at: float) -> None:
+        rng = self.rng
+        self.plan.skew_clock(at, rng.choice(self.hosts),
+                             offset=round(rng.uniform(-0.5, 0.5), 6),
+                             drift=round(rng.uniform(-1e-4, 1e-4), 9))
+
+    def sensor_degrade(self, at: float) -> None:
+        rng = self.rng
+        host = rng.choice(self.crashable or self.hosts)
+        self.plan.degrade_sensor(at, host,
+                                 mode=rng.choice(["corrupt", "partial"]),
+                                 rate=round(rng.uniform(0.5, 1.0), 3),
+                                 seed=rng.randrange(2**31))
+        self.plan.restore_sensor(self.recover_at(at), host)
+
+    def asymmetric_partition(self, at: float) -> None:
+        self._split(at, self.plan.asymmetric_partition, 2.0)
+
+    def slow_consumer(self, at: float) -> None:
+        host = self.rng.choice(self.consumers)
+        self.plan.slow_consumer(at, host,
+                                rate=round(self.rng.uniform(1.0, 10.0), 3))
+        self.plan.restore_consumer(self.recover_at(at), host)
+
+    def disk_full(self, at: float) -> None:
+        archive = self.rng.choice(self.archives)
+        self.plan.disk_full(at, archive,
+                            budget_bytes=self.rng.randrange(8_000, 64_000))
+        self.plan.restore_disk(self.recover_at(at), archive)
+
+    def compaction_stall(self, at: float) -> None:
+        archive = self.rng.choice(self.archives)
+        self.plan.stall_compaction(at, archive, mode="wedge")
+        self.plan.restore_compaction(self.recover_at(at), archive)
+
+    def torn_segment(self, at: float) -> None:
+        archive = self.rng.choice(self.archives)
+        self.plan.tear_segment(at, archive, index=self.rng.randrange(0, 8))
+        self.plan.mend_segments(self.recover_at(at), archive)
+
+    def slow_disk(self, at: float) -> None:
+        archive = self.rng.choice(self.archives)
+        self.plan.slow_disk(at, archive, round(self.rng.uniform(2.0, 20.0), 3))
+        self.plan.restore_disk_speed(self.recover_at(at), archive)
+
+    def congestion_storm(self, at: float) -> None:
+        rng = self.rng
+        src = rng.choice(self.storms)
+        dst = rng.choice([h for h in self.storms if h != src])
+        shape = rng.choice(list(TRAFFIC_STORM_KINDS))
+        self.plan.congestion_storm(
+            at, src, dst, rate_bps=round(rng.uniform(100e6, 900e6), 0),
+            kind=shape, seed=rng.randrange(2**31))
+        self.plan.calm_traffic(self.recover_at(at), src, dst)
+
+    def flaky_rpc(self, at: float) -> None:
+        rng = self.rng
+        host = rng.choice(self.flaky)
+        self.plan.flaky_rpc(at, host, rate=round(rng.uniform(0.2, 0.8), 3),
+                            latency_s=round(rng.uniform(0.0, 0.5), 3),
+                            seed=rng.randrange(2**31))
+        self.plan.steady_rpc(self.recover_at(at), host)
+
+
 class FaultInjector:
     """Schedules a :class:`FaultPlan` against a GridWorld.
 
-    The injector owns the bookkeeping a plan needs to be reversible:
-    which links it took down (for ``heal``), and each link's pristine
-    loss/latency (restored on ``heal``/``link_up``).  Faults targeting
-    unknown hosts/links raise :class:`FaultError` at :meth:`arm` time —
-    a plan must be entirely valid before any of it runs.
+    Every fault that leaves state behind (a downed link, a link's
+    pristine loss/latency, a degraded sensor, a throttled consumer, a
+    capped/stalled/torn/slowed archive, a storm, a flaky host) files
+    one ``(undo group, target)`` entry in the undo log.  A restore
+    event pops one entry; ``heal`` and :meth:`heal_all` pop them all.
+    Unknown targets raise :class:`FaultError` at :meth:`arm` time — a
+    plan must be entirely valid before any of it runs.
     """
 
     def __init__(self, world: Any, plan: FaultPlan):
         self.world = world
         self.plan = plan
         self.applied: list[tuple[float, FaultEvent]] = []
-        self._downed_links: dict[Any, None] = {}   # insertion-ordered set
-        #: link -> ((loss_toward_b, loss_toward_a), latency_s)
-        self._pristine: dict[Any, tuple[tuple, float]] = {}
-        # gray-fault state, all cleared by heal
-        self._degraded_sensors: dict[Any, None] = {}
-        self._throttled_hosts: dict[str, None] = {}
-        self._capped_archives: dict[Any, None] = {}
-        self._stalled_archives: dict[Any, None] = {}
-        self._torn_archives: dict[Any, None] = {}
-        self._slowed_archives: dict[Any, None] = {}
-        #: "src|dst" -> running TrafficGenerator (congestion storms)
-        self._storms: dict[str, Any] = {}
-        #: host names whose RPC endpoint is transiently failing
-        self._flaky_hosts: dict[str, None] = {}
+        #: (undo group, target) -> saved state, in insertion order
+        self._log: dict[tuple[str, Any], Any] = {}
         self._armed = False
+
+    @property
+    def storms(self) -> dict[str, Any]:
+        """A copy of the running storms: ``"src|dst"`` -> generator."""
+        return {key: gen for (group, key), gen in self._log.items()
+                if group == "storm"}
 
     # -- lookup ---------------------------------------------------------------
 
@@ -602,47 +600,51 @@ class FaultInjector:
             raise FaultError(f"fault targets unknown archive {name!r}")
         return archive
 
+    def _sensor(self, event: FaultEvent) -> Any:
+        """The sensor ``event`` names on its host (else the first by
+        name), or None when the host runs none."""
+        manager = self._host(event.target).service("sensor-manager")
+        if manager is None or not getattr(manager, "sensors", None):
+            return None
+        wanted = event.params.get("sensor", "")
+        return manager.sensors[wanted if wanted in manager.sensors
+                               else min(manager.sensors)]
+
+    @staticmethod
+    def _groups(target: str) -> tuple[list[str], list[str]]:
+        spec_a, _, spec_b = target.partition("|")
+        return (sorted(n for n in spec_a.split(",") if n),
+                sorted(n for n in spec_b.split(",") if n))
+
     def _validate(self) -> None:
+        network = self.world.network
         for event in self.plan:
-            if event.kind in ("host_crash", "host_restart", "process_kill",
-                              "clock_skew", "sensor_degrade",
-                              "slow_consumer"):
-                self._host(event.target)
-            elif event.kind in ("link_down", "link_up", "link_loss",
-                                "link_latency"):
-                link = self._link(event.target)
-                toward = event.params.get("toward")
-                if toward:
-                    node = self.world.network.get(toward)
-                    if node is None or node not in (link.a, link.b):
+            kind, target = KINDS[event.kind], event.target
+            if kind.check is not None:
+                kind.check(event)
+            shape = kind.target.removesuffix("_or_all")
+            if shape != kind.target and not target:
+                continue  # empty target: every host / every storm
+            if shape in ("groups", "pair") and "|" not in target:
+                raise FaultError(f"{event.kind} target needs 'a|b': "
+                                 f"{target!r}")
+            if shape == "host":
+                self._host(target)
+            elif shape == "pair":
+                for name in target.split("|", 1):
+                    self._host(name)
+            elif shape == "archive":
+                self._archive(target)
+            elif shape == "groups":
+                for name in sum(self._groups(target), []):
+                    if network.get(name) is None:
                         raise FaultError(
-                            f"'toward' {toward!r} is not an endpoint of "
-                            f"link {event.target!r}")
-            elif event.kind in ("partition", "asymmetric_partition"):
-                if "|" not in event.target:
-                    raise FaultError(
-                        f"partition target needs 'a,b|c,d': {event.target!r}")
-            elif event.kind in ("disk_full", "compaction_stall",
-                                "torn_segment", "slow_disk"):
-                self._archive(event.target)
-            elif event.kind == "congestion_storm":
-                if "|" not in event.target:
-                    raise FaultError(
-                        f"storm target needs 'src|dst': {event.target!r}")
-                src, _, dst = event.target.partition("|")
-                self._host(src)
-                self._host(dst)
-            elif event.kind == "calm_traffic" and event.target:
-                if "|" not in event.target:
-                    raise FaultError(
-                        f"calm target needs 'src|dst': {event.target!r}")
-            elif event.kind == "flaky_rpc":
-                self._host(event.target)
-                rate = float(event.params.get("rate", 0.0))
-                if not 0.0 <= rate <= 1.0:
-                    raise FaultError(f"flaky_rpc rate {rate} not in [0, 1]")
-            elif event.kind == "steady_rpc" and event.target:
-                self._host(event.target)
+                            f"fault targets unknown node {name!r}")
+            elif shape == "link":
+                link, toward = self._link(target), event.params.get("toward")
+                if toward and network.get(toward) not in (link.a, link.b):
+                    raise FaultError(f"'toward' {toward!r} is not an endpoint "
+                                     f"of link {target!r}")
 
     # -- scheduling ------------------------------------------------------------
 
@@ -661,177 +663,82 @@ class FaultInjector:
     # -- application ------------------------------------------------------------
 
     def _apply(self, event: FaultEvent) -> None:
-        handler = getattr(self, f"_apply_{event.kind}")
-        handler(event)
+        KINDS[event.kind].apply(self, event)
         self.applied.append((self.world.sim.now, event))
 
-    def _apply_host_crash(self, event: FaultEvent) -> None:
-        self._host(event.target).crash()
+    # -- undo ------------------------------------------------------------------
 
-    def _apply_host_restart(self, event: FaultEvent) -> None:
-        self._host(event.target).restart()
+    def _undo(self, group: str, target: Any) -> None:
+        """Pop ``(group, target)`` from the log and reverse it (the undo
+        runs even for an unlogged target: restore events always act)."""
+        UNDO[group](self, target, self._log.pop((group, target), None))
 
-    def _apply_process_kill(self, event: FaultEvent) -> None:
-        """Kill a sensor's sampling process without touching the sensor
-        object — the supervisor's heartbeat check must notice."""
-        host = self._host(event.target)
-        manager = host.service("sensor-manager")
-        if manager is None or not getattr(manager, "sensors", None):
-            return
-        wanted = event.params.get("sensor", "")
-        names = sorted(manager.sensors)
-        name = wanted if wanted in manager.sensors else names[0]
-        sensor = manager.sensors[name]
-        proc = getattr(sensor, "_proc", None)
-        if proc is not None and proc.alive:
-            proc.kill()
+    def _undo_all(self, group: str, name: str = "") -> None:
+        """Undo ``name`` — or with no name the whole group: storms by
+        ``"src|dst"``, the rest in the order the faults happened."""
+        targets = [name] if name else [t for g, t in self._log if g == group]
+        if group == "storm":
+            targets.sort()
+        for target in targets:
+            self._undo(group, target)
 
-    def _cut(self, link: Any) -> None:
-        if link.up:
-            self.world.network.set_link_state(link, False)
-            self._downed_links[link] = None
+    def heal_all(self) -> None:
+        """Undo every logged fault, group by group in :data:`HEAL_ORDER`
+        (crashed hosts are not logged: restarts are the caller's)."""
+        for group in HEAL_ORDER:
+            self._undo_all(group)
 
-    def _restore(self, link: Any) -> None:
-        self._downed_links.pop(link, None)
-        pristine = self._pristine.pop(link, None)
+    def _toggle(self, event: FaultEvent, target: Any, param: str,
+                apply: Callable[[Any, Any], Optional[bool]]) -> None:
+        """A kind restored by omitting ``param``: with it, ``apply(target,
+        value)`` and log the kind's undo entry unless that returns False;
+        without it, undo the entry."""
+        group = KINDS[event.kind].undo
+        value = event.params.get(param)
+        if value is None:
+            self._undo(group, target)
+        elif apply(target, value) is not False:
+            self._log[(group, target)] = None
+
+    def _restore(self, link: Any, pristine: Optional[tuple] = None) -> None:
+        """Undo both link groups on ``link``: its pristine loss/latency
+        (``pristine`` if already popped) and its up state."""
+        self._log.pop(("link_down", link), None)
+        pristine = self._log.pop(("link", link), pristine)
         if pristine is not None:
             link.restore_loss(pristine[0])
             link.latency_s = pristine[1]
         if not link.up:
             self.world.network.set_link_state(link, True)
 
-    def _apply_partition(self, event: FaultEvent) -> None:
-        """Cut links until no group-A node can route to any group-B node.
+    def _pristine(self, link: Any) -> tuple:
+        """``link``'s (loss state, latency) from before the injector first
+        touched it; the first call files it in the undo log."""
+        return self._log.setdefault(("link", link),
+                                    (link.loss_state(), link.latency_s))
 
-        Each pass finds a surviving cross-group route and cuts one link
-        on it, preferring *infrastructure* links (neither endpoint in
-        either group — switch/router trunks) so intra-group
-        connectivity survives where the topology allows; when a path
-        has none (two hosts on one switch), the B-side access link is
-        cut instead.  Iteration order is name-sorted, so the cut set is
-        deterministic.
-        """
-        spec_a, _, spec_b = event.target.partition("|")
-        group_a = sorted(n for n in spec_a.split(",") if n)
-        group_b = sorted(n for n in spec_b.split(",") if n)
-        members = set(group_a) | set(group_b)
-        network = self.world.network
-        while True:
-            path = None
-            for a in group_a:
-                if network.get(a) is None:
-                    continue
-                for b in group_b:
-                    if network.get(b) is None:
-                        continue
-                    try:
-                        path = network.route(a, b)
-                    except Exception:
-                        continue
-                    break
-                if path is not None:
-                    break
-            if path is None:
-                return
-            infra = [l for l in path.links
-                     if l.a.name not in members and l.b.name not in members]
-            if infra:
-                self._cut(infra[len(infra) // 2])
-            else:
-                self._cut(path.links[-1])
+    def _cut(self, link: Any) -> None:
+        if link.up:
+            self.world.network.set_link_state(link, False)
+            self._log[("link_down", link)] = None
 
-    def _apply_heal(self, event: FaultEvent) -> None:
-        for link in list(self._downed_links):
-            self._restore(link)
-        for link in list(self._pristine):
-            self._restore(link)
-        for sensor in list(self._degraded_sensors):
-            sensor.clear_degraded()
-        self._degraded_sensors.clear()
-        for host_name in list(self._throttled_hosts):
-            self._set_drain_rate(host_name, None)
-        for archive in list(self._capped_archives):
-            archive.set_byte_budget(None)
-        self._capped_archives.clear()
-        for archive in list(self._stalled_archives):
-            archive.clear_compaction_stall()
-        self._stalled_archives.clear()
-        for archive in list(self._torn_archives):
-            archive.mend_segments()
-        self._torn_archives.clear()
-        for archive in list(self._slowed_archives):
-            archive.set_io_latency(None)
-        self._slowed_archives.clear()
-        self._stop_storms()
-        self._steady_all_rpc()
+    # -- faults with more to them than one line ------------------------------
 
-    def _apply_link_down(self, event: FaultEvent) -> None:
-        self._cut(self._link(event.target))
+    def _process_kill(self, event: FaultEvent) -> None:
+        """Kill a sensor's sampling process without touching the sensor
+        object — the supervisor's heartbeat check must notice."""
+        sensor = self._sensor(event)
+        proc = getattr(sensor, "_proc", None)
+        if proc is not None and proc.alive:
+            proc.kill()
 
-    def _apply_link_up(self, event: FaultEvent) -> None:
-        self._restore(self._link(event.target))
-
-    def _remember_pristine(self, link: Any) -> None:
-        if link not in self._pristine:
-            self._pristine[link] = (link.loss_state(), link.latency_s)
-
-    def _apply_link_loss(self, event: FaultEvent) -> None:
-        link = self._link(event.target)
-        self._remember_pristine(link)
-        rate = min(1.0, max(0.0, event.params["loss_rate"]))
-        toward = event.params.get("toward")
-        if toward:
-            link.set_loss(rate, toward=self.world.network.get(toward))
-        else:
-            link.set_loss(rate)
-
-    def _apply_link_latency(self, event: FaultEvent) -> None:
-        link = self._link(event.target)
-        self._remember_pristine(link)
-        link.latency_s = self._pristine[link][1] * max(0.0,
-                                                       event.params["factor"])
-
-    def _apply_clock_skew(self, event: FaultEvent) -> None:
-        host = self._host(event.target)
-        offset = event.params.get("offset", 0.0)
-        drift = event.params.get("drift")
-        if offset:
-            host.clock.adjust(offset)
-        if drift is not None:
-            host.clock.set_drift(drift)
-
-    # -- gray faults ------------------------------------------------------------
-
-    def _apply_sensor_degrade(self, event: FaultEvent) -> None:
-        """Degrade (or, with no ``mode`` param, restore) one sensor's
-        sample quality.  The sensor object keeps running and
-        heartbeating — only sample-quality supervision can tell."""
-        host = self._host(event.target)
-        manager = host.service("sensor-manager")
-        if manager is None or not getattr(manager, "sensors", None):
-            return
-        wanted = event.params.get("sensor", "")
-        names = sorted(manager.sensors)
-        name = wanted if wanted in manager.sensors else names[0]
-        sensor = manager.sensors[name]
-        mode = event.params.get("mode")
-        if mode is None:
-            sensor.clear_degraded()
-            self._degraded_sensors.pop(sensor, None)
-            return
-        sensor.set_degraded(mode, rate=float(event.params.get("rate", 1.0)),
-                            seed=int(event.params.get("seed", 0)))
-        self._degraded_sensors[sensor] = None
-
-    def _apply_asymmetric_partition(self, event: FaultEvent) -> None:
-        """Blackhole every A->B route while leaving B->A (and routing)
-        intact: for each cross pair, one link on the path — preferring
-        infrastructure links, mirroring :meth:`_apply_partition`'s cut
-        heuristic — gets directional loss 1.0 toward the B side.  The
-        links stay up, so senders keep getting "successful" sends."""
-        spec_a, _, spec_b = event.target.partition("|")
-        group_a = sorted(n for n in spec_a.split(",") if n)
-        group_b = sorted(n for n in spec_b.split(",") if n)
+    def _cross_paths(self, target: str) -> Iterator[tuple[Any, Any]]:
+        """Yield ``(path, link to cut)`` for each routable A -> B pair,
+        name-sorted, routed when reached.  The link is the middle
+        *infrastructure* link (neither endpoint in either group), so
+        intra-group connectivity survives where the topology allows —
+        else the path's last, B-side access link."""
+        group_a, group_b = self._groups(target)
         members = set(group_a) | set(group_b)
         network = self.world.network
         for a in group_a:
@@ -844,92 +751,76 @@ class FaultInjector:
                     path = network.route(a, b)
                 except Exception:
                     continue
-                if not path.links or path.loss_rate >= 1.0:
-                    continue  # same node, or already black this way
                 infra = [l for l in path.links
                          if l.a.name not in members and l.b.name not in members]
-                chosen = infra[len(infra) // 2] if infra else path.links[-1]
-                for node, link in zip(path.nodes[:-1], path.links):
-                    if link is chosen:
-                        self._remember_pristine(link)
-                        link.set_loss(1.0, toward=link.other(node))
-                        break
+                yield path, (infra[len(infra) // 2] if infra
+                             else path.links[-1] if path.links else None)
+
+    def _partition(self, event: FaultEvent) -> None:
+        """Cut links until no group-A node can route to any group-B
+        node: each pass cuts the chosen link of the first surviving
+        cross-group route (deterministic: iteration is name-sorted)."""
+        while True:
+            found = next(self._cross_paths(event.target), None)
+            if found is None:
+                return
+            self._cut(found[1])
+
+    def _asymmetric_partition(self, event: FaultEvent) -> None:
+        """Blackhole every A->B route while leaving B->A (and routing)
+        intact: the link :meth:`_partition` would cut on each cross
+        pair's path gets directional loss 1.0 toward the B side.  The
+        links stay up, so senders keep getting "successful" sends."""
+        for path, chosen in self._cross_paths(event.target):
+            if not path.links or path.loss_rate >= 1.0:
+                continue  # same node, or already black this way
+            for node, link in zip(path.nodes[:-1], path.links):
+                if link is chosen:
+                    self._pristine(link)
+                    link.set_loss(1.0, toward=link.other(node))
+                    break
+
+    def _link_loss(self, event: FaultEvent) -> None:
+        link, p = self._link(event.target), event.params
+        self._pristine(link)
+        node = self.world.network.get(p["toward"]) if p.get("toward") else None
+        link.set_loss(min(1.0, max(0.0, p["loss_rate"])), toward=node)
+
+    def _link_latency(self, event: FaultEvent) -> None:
+        link = self._link(event.target)
+        link.latency_s = self._pristine(link)[1] * max(0.0,
+                                                       event.params["factor"])
+
+    def _clock_skew(self, event: FaultEvent) -> None:
+        clock, p = self._host(event.target).clock, event.params
+        if p.get("offset", 0.0):
+            clock.adjust(p["offset"])
+        if p.get("drift") is not None:
+            clock.set_drift(p["drift"])
+
+    def _sensor_degrade(self, event: FaultEvent) -> None:
+        """Degrade (or, with no ``mode`` param, restore) one sensor's
+        sample quality.  The sensor object keeps running and
+        heartbeating — only sample-quality supervision can tell."""
+        sensor, p = self._sensor(event), event.params
+        if sensor is not None:
+            self._toggle(event, sensor, "mode", lambda s, mode: s.set_degraded(
+                mode, rate=float(p.get("rate", 1.0)),
+                seed=int(p.get("seed", 0))))
 
     def _set_drain_rate(self, host_name: str, rate: Optional[float]) -> None:
         for name in sorted(self.world.hosts):
             gw = self.world.hosts[name].service("gateway")
             if gw is not None and hasattr(gw, "throttle_consumer"):
                 gw.throttle_consumer(host_name, rate)
-        if rate is None:
-            self._throttled_hosts.pop(host_name, None)
-        else:
-            self._throttled_hosts[host_name] = None
 
-    def _apply_slow_consumer(self, event: FaultEvent) -> None:
-        self._host(event.target)  # fail loudly on unknown hosts
-        rate = event.params.get("rate")
-        self._set_drain_rate(event.target,
-                             None if rate is None else float(rate))
-
-    def _apply_disk_full(self, event: FaultEvent) -> None:
-        archive = self._archive(event.target)
-        budget = event.params.get("budget_bytes")
-        if budget is None:
-            archive.set_byte_budget(None)
-            self._capped_archives.pop(archive, None)
-        else:
-            archive.set_byte_budget(int(budget))
-            self._capped_archives[archive] = None
-
-    def _apply_compaction_stall(self, event: FaultEvent) -> None:
-        archive = self._archive(event.target)
-        mode = event.params.get("mode")
-        if mode is None:
-            archive.clear_compaction_stall()
-            self._stalled_archives.pop(archive, None)
-        elif mode == "kill":
-            # one-shot: supervision alone recovers, nothing to heal
-            archive.stall_compaction("kill")
-        else:
-            archive.stall_compaction("wedge")
-            self._stalled_archives[archive] = None
-
-    def _apply_torn_segment(self, event: FaultEvent) -> None:
-        archive = self._archive(event.target)
-        index = event.params.get("index")
-        if index is None:
-            archive.mend_segments()
-            self._torn_archives.pop(archive, None)
-        elif archive.tear_segment(int(index)):
-            self._torn_archives[archive] = None
-
-    def _apply_slow_disk(self, event: FaultEvent) -> None:
-        archive = self._archive(event.target)
-        factor = event.params.get("factor")
-        if factor is None:
-            archive.set_io_latency(None)
-            self._slowed_archives.pop(archive, None)
-        else:
-            archive.set_io_latency(float(factor))
-            self._slowed_archives[archive] = None
-
-    # -- congestion storms -------------------------------------------------------
-
-    def _stop_storms(self, target: str = "") -> None:
-        for key in sorted(self._storms):
-            if target and key != target:
-                continue
-            self._storms.pop(key).stop()
-
-    def _apply_congestion_storm(self, event: FaultEvent) -> None:
+    def _congestion_storm(self, event: FaultEvent) -> None:
         """Start (or replace) a background-traffic generator between the
         target host pair.  The injector owns the generator's lifecycle:
         ``calm_traffic`` and ``heal`` stop it."""
         from .traffic import TrafficGenerator, TrafficSpec
         src, _, dst = event.target.partition("|")
-        old = self._storms.pop(event.target, None)
-        if old is not None:
-            old.stop()
+        self._undo("storm", event.target)
         p = event.params
         spec = TrafficSpec(src=src, dst=dst,
                            rate_bps=float(p["rate_bps"]),
@@ -938,34 +829,119 @@ class FaultInjector:
                            on_s=float(p.get("on_s", 0.5)),
                            off_s=float(p.get("off_s", 0.5)),
                            seed=int(p.get("seed", 0)))
-        self._storms[event.target] = TrafficGenerator(
+        self._log[("storm", event.target)] = TrafficGenerator(
             self.world, spec).start()
 
-    def _apply_calm_traffic(self, event: FaultEvent) -> None:
-        self._stop_storms(event.target)
-
-    # -- transient RPC faults ----------------------------------------------------
-
-    def _steady_all_rpc(self) -> None:
-        if self._flaky_hosts:
-            self.world.transport.clear_flaky_host()
-            self._flaky_hosts.clear()
-
-    def _apply_flaky_rpc(self, event: FaultEvent) -> None:
+    def _flaky_rpc(self, event: FaultEvent) -> None:
         p = event.params
         self.world.transport.set_flaky_host(
             event.target, rate=float(p.get("rate", 0.3)),
             latency_s=float(p.get("latency_s", 0.0)),
             seed=int(p.get("seed", 0)))
-        self._flaky_hosts[event.target] = None
-
-    def _apply_steady_rpc(self, event: FaultEvent) -> None:
-        if event.target:
-            self.world.transport.clear_flaky_host(event.target)
-            self._flaky_hosts.pop(event.target, None)
-        else:
-            self._steady_all_rpc()
+        self._log[("flaky", event.target)] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<FaultInjector plan={self.plan!r} "
                 f"applied={len(self.applied)}>")
+
+
+# -- the fault-kind table -----------------------------------------------------
+
+#: undo-log group -> the action that reverses one of its entries:
+#: ``undo(injector, target, saved state or None)``
+UNDO: dict[str, Callable[[FaultInjector, Any, Any], None]] = {
+    "link_down": FaultInjector._restore,
+    "link": FaultInjector._restore,
+    "sensor": lambda inj, sensor, _: sensor.clear_degraded(),
+    "throttle": lambda inj, host, _: inj._set_drain_rate(host, None),
+    "budget": lambda inj, archive, _: archive.set_byte_budget(None),
+    "stall": lambda inj, archive, _: archive.clear_compaction_stall(),
+    "torn": lambda inj, archive, _: archive.mend_segments(),
+    "slow_disk": lambda inj, archive, _: archive.set_io_latency(None),
+    "storm": lambda inj, key, generator: generator and generator.stop(),
+    "flaky": lambda inj, host, _: inj.world.transport.clear_flaky_host(host),
+}
+
+
+def _storage(param: str, apply: Callable[[Any, Any], Optional[bool]]
+             ) -> Callable[[FaultInjector, FaultEvent], None]:
+    return lambda inj, e: inj._toggle(e, inj._archive(e.target), param, apply)
+
+
+def _stall(archive: Any, mode: str) -> bool:
+    # "kill" is one-shot: supervision alone recovers, nothing to undo
+    archive.stall_compaction("kill" if mode == "kill" else "wedge")
+    return mode != "kill"
+
+
+def _check_rate(event: FaultEvent) -> None:
+    rate = float(event.params.get("rate", 0.0))
+    if not 0.0 <= rate <= 1.0:
+        raise FaultError(f"flaky_rpc rate {rate} not in [0, 1]")
+
+
+#: every fault kind, in table order (the random draw list is its
+#: drawable subset, in this order — reordering changes every random plan)
+KINDS: dict[str, FaultKind] = {
+    "host_crash": FaultKind("host", lambda inj, e: inj._host(e.target).crash(),
+                            draw=_Draw.host_crash),
+    "host_restart": FaultKind("host",
+                              lambda inj, e: inj._host(e.target).restart()),
+    "process_kill": FaultKind("host", FaultInjector._process_kill,
+                              draw=_Draw.process_kill),
+    "partition": FaultKind("groups", FaultInjector._partition,
+                           undo="link_down", draw=_Draw.partition),
+    "heal": FaultKind("none", lambda inj, e: inj.heal_all()),
+    "link_down": FaultKind("link",
+                           lambda inj, e: inj._cut(inj._link(e.target)),
+                           undo="link_down"),
+    "link_up": FaultKind("link",
+                         lambda inj, e: inj._restore(inj._link(e.target))),
+    "link_loss": FaultKind("link", FaultInjector._link_loss, undo="link",
+                           draw=_Draw.link_loss),
+    "link_latency": FaultKind("link", FaultInjector._link_latency,
+                              undo="link", draw=_Draw.link_latency),
+    "clock_skew": FaultKind("host", FaultInjector._clock_skew,
+                            draw=_Draw.clock_skew),
+    "sensor_degrade": FaultKind("host", FaultInjector._sensor_degrade,
+                                undo="sensor", draw=_Draw.sensor_degrade),
+    "asymmetric_partition": FaultKind(
+        "groups", FaultInjector._asymmetric_partition, undo="link",
+        draw=_Draw.asymmetric_partition),
+    "slow_consumer": FaultKind(
+        "host", lambda inj, e: inj._toggle(e, e.target, "rate", lambda h, r:
+                                           inj._set_drain_rate(h, float(r))),
+        undo="throttle", draw=_Draw.slow_consumer,
+        gate=lambda d: bool(d.consumers)),
+    "disk_full": FaultKind(
+        "archive", _storage("budget_bytes",
+                            lambda a, v: a.set_byte_budget(int(v))),
+        undo="budget", draw=_Draw.disk_full, gate=lambda d: bool(d.archives)),
+    "compaction_stall": FaultKind(
+        "archive", _storage("mode", _stall), undo="stall",
+        draw=_Draw.compaction_stall, gate=lambda d: bool(d.archives)),
+    "torn_segment": FaultKind(
+        "archive", _storage("index", lambda a, v: a.tear_segment(int(v))),
+        undo="torn", draw=_Draw.torn_segment, gate=lambda d: bool(d.archives)),
+    "slow_disk": FaultKind(
+        "archive", _storage("factor", lambda a, v: a.set_io_latency(float(v))),
+        undo="slow_disk", draw=_Draw.slow_disk,
+        gate=lambda d: bool(d.archives)),
+    "congestion_storm": FaultKind(
+        "pair", FaultInjector._congestion_storm, undo="storm",
+        draw=_Draw.congestion_storm, gate=lambda d: len(d.storms) >= 2),
+    "calm_traffic": FaultKind(
+        "pair_or_all", lambda inj, e: inj._undo_all("storm", e.target)),
+    "flaky_rpc": FaultKind(
+        "host", FaultInjector._flaky_rpc, undo="flaky", draw=_Draw.flaky_rpc,
+        gate=lambda d: bool(d.flaky), check=_check_rate),
+    "steady_rpc": FaultKind(
+        "host_or_all", lambda inj, e: inj._undo_all("flaky", e.target)),
+}
+
+#: every fault kind the injector knows how to apply
+FAULT_KINDS = tuple(KINDS)
+
+#: the order :meth:`FaultInjector.heal_all` empties the undo groups in:
+#: the order they first appear in the table
+HEAL_ORDER = tuple(dict.fromkeys(k.undo for k in KINDS.values() if k.undo))

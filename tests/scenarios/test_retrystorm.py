@@ -16,8 +16,8 @@ The tentpole claims, as tests:
 
 from __future__ import annotations
 
-from repro.scenarios import (RetryStormScenario, Scenario, run_retrystorm,
-                             run_scenario)
+from repro.scenarios import (RetryStormScenario, Scenario, ScenarioRunner,
+                             run_retrystorm, run_scenario)
 from repro.simgrid import FaultPlan
 
 #: digests of no-fault standard-scenario runs captured BEFORE the
@@ -109,3 +109,31 @@ def test_flaky_random_plans_hold_invariants():
     kinds = {e["kind"] for e in result.plan.to_dict()["events"]}
     assert "flaky_rpc" in kinds
     assert result.stats["transport"]["messages_flaky_failed"] > 0
+
+
+def test_runner_force_heal_steadies_a_flaky_host():
+    """A ``flaky_rpc`` still in force at the horizon is undone by the
+    runner's force-heal like every other residual fault, so the drain
+    and flush talk to a working endpoint."""
+    runner = ScenarioRunner(Scenario(
+        name="flaky-tail", seed=7,
+        plan=FaultPlan(seed=7).flaky_rpc(50.0, "gw.siteA", rate=1.0)))
+    result = runner.run()
+    world = runner.world
+    # about as many RPCs fail as when the plan itself steadies the host
+    # just before the horizon (a few more: those sent up to the horizon
+    # itself); left flaky through drain and flush, three times as many
+    steadied = run_scenario(Scenario(
+        name="flaky-tail", seed=7,
+        plan=(FaultPlan(seed=7).flaky_rpc(50.0, "gw.siteA", rate=1.0)
+              .steady_rpc(59.9, "gw.siteA"))))
+    assert result.stats["transport"]["messages_flaky_failed"] <= \
+        steadied.stats["transport"]["messages_flaky_failed"] + 5
+    # and an RPC sent after the run reaches the host
+    got, failed = [], []
+    world.host("gw.siteA").ports.bind(7999, lambda m, _t: got.append(m))
+    world.transport.send(world.host("consumer.siteB"),
+                         world.host("gw.siteA"), 7999, "probe",
+                         on_fail=failed.append)
+    world.run(until=world.sim.now + 1.0)
+    assert failed == [] and len(got) == 1

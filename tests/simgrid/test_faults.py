@@ -6,6 +6,7 @@ import pytest
 
 from repro.simgrid import (FaultError, FaultEvent, FaultPlan, GridWorld,
                            NoRouteError)
+from repro.simgrid.faults import FAULT_KINDS, HEAL_ORDER, KINDS
 
 
 def two_site_world():
@@ -275,6 +276,18 @@ class TestFaultInjector:
         with pytest.raises(FaultError):
             world.inject(FaultPlan().slow_disk(1.0, "no-arch", 4.0))
 
+    def test_unknown_partition_groups_rejected_at_arm(self):
+        world = two_site_world()
+        for kind in ("partition", "asymmetric_partition"):
+            with pytest.raises(FaultError, match="a1-typo"):
+                world.inject(getattr(FaultPlan(), kind)(1.0, ["a1-typo"],
+                                                        ["b1"]))
+            with pytest.raises(FaultError, match="nope"):
+                world.inject(getattr(FaultPlan(), kind)(1.0, ["a1"],
+                                                        ["b1", "nope"]))
+        # switches and routers are nodes too
+        world.inject(FaultPlan().partition(1.0, ["a1", "sw-a"], ["r1"]))
+
     @staticmethod
     def _segmented_archive(world, n=40):
         from repro.core.archive import EventArchive
@@ -531,3 +544,46 @@ class TestFlakyRpc:
         assert during > 0
         world.run(until=6.0)
         assert len(errors) == during  # heal turned flaky off
+
+
+class TestFaultKindTable:
+    def test_kind_list_and_draw_order_come_from_the_table(self):
+        assert FAULT_KINDS == tuple(KINDS)
+        # the random draw picks by index into this list: its order is
+        # part of every seed's plan
+        assert [k for k, v in KINDS.items() if v.draw] == [
+            "host_crash", "process_kill", "partition", "link_loss",
+            "link_latency", "clock_skew", "sensor_degrade",
+            "asymmetric_partition", "slow_consumer", "disk_full",
+            "compaction_stall", "torn_segment", "slow_disk",
+            "congestion_storm", "flaky_rpc"]
+
+    def test_heal_order(self):
+        assert HEAL_ORDER == ("link_down", "link", "sensor", "throttle",
+                              "budget", "stall", "torn", "slow_disk",
+                              "storm", "flaky")
+
+    def test_heal_all_undoes_everything_still_in_force(self):
+        world = two_site_world()
+        link = world.network.route("a1", "b1").links[1]
+        latency = link.latency_s
+        injector = world.inject(
+            FaultPlan(seed=1)
+            .partition(0.5, ["a1"], ["b1"])
+            .link_latency(0.5, link.name, 10.0)
+            .congestion_storm(0.5, "a2", "b1", rate_bps=50e6)
+            .flaky_rpc(0.5, "b1", rate=1.0))
+        world.run(until=1.0)
+        assert injector.storms
+        with pytest.raises(NoRouteError):
+            world.network.route("a1", "b1")
+        injector.heal_all()
+        assert injector.storms == {}
+        assert link.latency_s == latency
+        world.network.route("a1", "b1")
+        got, failed = [], []
+        world.host("b1").ports.bind(7000, lambda m, _t: got.append(m))
+        world.transport.send(world.host("a1"), world.host("b1"), 7000, "x",
+                             on_fail=failed.append)
+        world.run(until=2.0)
+        assert failed == [] and len(got) == 1

@@ -165,11 +165,11 @@ class TestCongestionStormFault:
                 .calm_traffic(3.0, a.name, b.name))
         injector = world.inject(plan)
         world.run(until=2.0)
-        assert len(injector._storms) == 1
-        gen = next(iter(injector._storms.values()))
+        assert len(injector.storms) == 1
+        gen = next(iter(injector.storms.values()))
         assert gen.packets_sent > 0
         world.run(until=4.0)
-        assert injector._storms == {}
+        assert injector.storms == {}
         sent = gen.packets_sent
         world.run(until=5.0)
         assert gen.packets_sent == sent      # really stopped
@@ -222,7 +222,7 @@ class TestCongestionStormFault:
                 .heal(2.0))
         injector = world.inject(plan)
         world.run(until=3.0)
-        assert injector._storms == {}
+        assert injector.storms == {}
 
     def test_storm_needs_known_hosts(self):
         world, a, _b = two_sites()
